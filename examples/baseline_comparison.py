@@ -2,10 +2,10 @@
 """Baseline comparison: Lloyd vs bound-based exact accelerations + metrics.
 
 Runs the serial Lloyd baseline, Hamerly's algorithm, Yinyang k-means (the
-Table III comparator algorithm, implemented in this repo), and the
-host-parallel Lloyd on the same workload; verifies they produce the same
-clustering; scores it with the quality metrics; and prints the simulated
-machine's time trace for the equivalent Level-3 run.
+Table III comparator algorithm, implemented in this repo), and Lloyd on
+the process engine (two forked workers) on the same workload; verifies
+they produce the same clustering; scores it with the quality metrics; and
+prints the simulated machine's time trace for the equivalent Level-3 run.
 
 Run: python examples/baseline_comparison.py
 """
@@ -25,7 +25,6 @@ from repro.core.metrics import (
 )
 from repro.data import gaussian_blobs
 from repro.reporting import format_table, render_trace
-from repro.runtime.host import lloyd_parallel
 
 
 def main() -> None:
@@ -38,8 +37,9 @@ def main() -> None:
         ("Lloyd (serial)", lambda: (lloyd(X, C0, max_iter=60), None)),
         ("Hamerly", lambda: hamerly(X, C0, max_iter=60)),
         ("Yinyang", lambda: yinyang(X, C0, max_iter=60)),
-        ("Lloyd (host-parallel)",
-         lambda: (lloyd_parallel(X, C0, max_iter=60, n_workers=2), None)),
+        ("Lloyd (process engine)",
+         lambda: (lloyd(X, C0, max_iter=60, engine="process", workers=2),
+                  None)),
     ]:
         t0 = time.perf_counter()
         result, stats = runner()

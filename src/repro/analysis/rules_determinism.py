@@ -316,11 +316,12 @@ class ManualPartialAccumulation(Rule):
 #: Calls that adopt previously persisted state (checkpoint restores).
 _RESTORE_CALLS = frozenset({"restore", "load_checkpoint", "from_checkpoint"})
 
-#: Calls that make carried bound state safe again after a restore: the
-#: in-place drop, the executors' shared reset hook, and the resume loader
-#: (which invalidates internally before touching the snapshot).
+#: Calls that make carried bound state safe again after a restore, besides
+#: the in-place ``invalidate()``: the run driver's reset hook (which drops
+#: the pruned bounds) and the step hook it chains to (which drops the
+#: step's own acceleration state).
 _BOUNDS_RESET_CALLS = frozenset({
-    "_reset_state_after_replan", "_load_resume_state",
+    "_reset_after_restore", "_reset_state_after_replan",
 })
 
 

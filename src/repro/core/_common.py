@@ -241,10 +241,18 @@ def update_centroids(sums: np.ndarray, counts: np.ndarray,
     return new.astype(previous.dtype, copy=False)
 
 
+#: Rows per chunk of :func:`inertia`: each chunk's difference block stays
+#: in cache instead of two (n, d) temporaries streaming through memory.
+INERTIA_CHUNK_ROWS = 1024
+
+
 def inertia(X: np.ndarray, C: np.ndarray, assignments: np.ndarray) -> float:
     """Objective O(C): mean squared distance of samples to their centroid."""
-    diff = X - C[assignments]
-    return float(np.einsum("nd,nd->", diff, diff) / X.shape[0])
+    total = 0.0
+    for lo, hi in chunk_ranges(X.shape[0], INERTIA_CHUNK_ROWS):
+        diff = X[lo:hi] - C[assignments[lo:hi]]
+        total += float(np.einsum("nd,nd->", diff, diff))
+    return total / X.shape[0]
 
 
 def max_centroid_shift(old: np.ndarray, new: np.ndarray) -> float:

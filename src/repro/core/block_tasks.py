@@ -34,7 +34,7 @@ import numpy as np
 
 from ..runtime.reduce import BlockPartial, PrunedPartial
 from ..runtime.shm import ArrayLike, as_ndarray
-from ._common import accumulate, squared_distances
+from ._common import DEFAULT_CHUNK_ELEMENTS, accumulate, squared_distances
 from .bounds import BlockBounds, centroid_drift, centroid_separation
 from .kernels import (
     KERNELS,
@@ -62,6 +62,7 @@ __all__ = [
     "strict_l3_assign",
     "strict_l2_block",
     "strict_l3_block",
+    "task_kernel",
 ]
 
 #: Per-process cache of kernel backends resolved from registry names, so a
@@ -92,6 +93,15 @@ def _kernel(token: KernelLike) -> KernelBackend:
     return backend
 
 
+def task_kernel(backend: KernelBackend) -> KernelBackend:
+    """The instance this process's block tasks run ``backend`` on.
+
+    A pass outside the engine (the driver's final relabelling) runs on it
+    to reuse the tasks' warm scratch buffers instead of growing its own.
+    """
+    return _kernel(kernel_token(backend))
+
+
 class FusedAssignTask:
     """One block of the fused Assign+Accumulate sweep (lloyd / L1 / L2 / L3).
 
@@ -119,11 +129,9 @@ def fused_assign_block(task: FusedAssignTask) -> BlockPartial:
     C = as_ndarray(task.c)
     backend = _kernel(task.kernel)
     block = X[task.lo:task.hi]
-    if task.chunk_elements is None:
-        idx, best, sums, counts = backend.assign_accumulate(block, C)
-    else:
-        idx, best, sums, counts = backend.assign_accumulate(
-            block, C, task.chunk_elements)
+    # The run validated X and C once; the block skips the per-call checks.
+    idx, best, sums, counts = backend._assign_accumulate(
+        block, C, task.chunk_elements or DEFAULT_CHUNK_ELEMENTS)
     return BlockPartial(sums, counts, task.lo, task.hi, idx, best)
 
 

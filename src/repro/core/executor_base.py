@@ -1,56 +1,39 @@
-"""Shared iteration driver for the simulated Level 1/2/3 executors.
+"""Shared configuration and recovery for the simulated Level 1/2/3 executors.
 
 Each executor implements one Lloyd iteration under its partition plan —
 performing the real arithmetic with NumPy *and* charging the modelled cost
 of every phase (DMA, compute, register comm, MPI) to a
-:class:`~repro.runtime.ledger.TimeLedger`.  The base class owns everything
-that is identical across levels: the convergence loop, telemetry, result
-assembly, and the paper's stop rule ("until each c_j is fixed", tol = 0).
+:class:`~repro.runtime.ledger.TimeLedger`.  The base class resolves the
+run configuration and applies the recovery policy to injected faults;
+the convergence loop, telemetry, and result assembly are
+:func:`~repro.core.driver.drive`'s, shared with serial Lloyd.
 """
 
 from __future__ import annotations
 
-import warnings
-from abc import ABC, abstractmethod
-from typing import List, Optional, Sequence, Tuple
+from abc import abstractmethod
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from ..errors import (
-    ConfigurationError,
-    ConvergenceWarning,
-    FaultError,
-    IntegrityError,
-    NumericalFaultError,
-)
+from ..errors import ConfigurationError, FaultError
 from ..machine.machine import DegradedMachine, Machine
 from ..runtime.compute import ComputeModel
 from ..runtime.engine import EngineLike, resolve_engine
 from ..runtime.faults import FaultInjector, resolve_fault_plan
-from ..runtime.reduce import (
-    ReduceLike,
-    ReduceTopology,
-    resolve_reduce,
-    scatter_bounds,
-)
+from ..runtime.reduce import ReduceLike, resolve_reduce
 from ..runtime.ledger import NullLedger, TimeLedger
 from ..runtime.supervisor import SupervisorLike, resolve_supervisor
-from ._common import (
-    EMPTY_ACTIONS,
-    inertia,
-    max_centroid_shift,
-    update_centroids,
-    validate_data,
-)
-from .block_tasks import build_pruned_tasks, pruned_assign_block
-from .bounds import BlockBounds
-from .checkpoint import CheckpointConfig, CheckpointStore, load_checkpoint
+from ._common import EMPTY_ACTIONS, update_centroids
+from .block_tasks import task_kernel
+from .checkpoint import CheckpointConfig, CheckpointStore
+from .driver import DriverStep, drive
 from .kernels import KernelLike, resolve_kernel
 from .recovery import RecoveryLike, resolve_recovery
-from .result import IterationStats, KMeansResult
+from .result import KMeansResult
 
 
-class LevelExecutor(ABC):
+class LevelExecutor(DriverStep):
     """Template for a partition-level k-means executor.
 
     Parameters
@@ -189,6 +172,7 @@ class LevelExecutor(ABC):
                  workers: Optional[int] = None,
                  reduce: ReduceLike = None,
                  integrity: Optional[str] = None) -> None:
+        super().__init__()
         self.machine = machine
         self.collective_algorithm = collective_algorithm
         self.strict_cpe = bool(strict_cpe)
@@ -199,10 +183,6 @@ class LevelExecutor(ABC):
         #: partials, shared arrays, durable snapshots — verify consistently.
         self.integrity = self.engine.integrity
         self.reduce = resolve_reduce(reduce)
-        #: Per-iteration inertia under the incoming centroids, stashed by
-        #: iterate() when the fused kernel already produced the winning
-        #: distances; None makes run() fall back to an explicit pass.
-        self._iter_inertia: Optional[float] = None
         env_default = kernel is None
         self.kernel = resolve_kernel(kernel)
         if self.strict_cpe and self.kernel.name != "naive":
@@ -217,13 +197,6 @@ class LevelExecutor(ABC):
                     f"(the hardware dataflow is the direct form); "
                     f"got kernel={self.kernel.name!r}"
                 )
-        #: Carried per-sample bound state of the pruned kernel path (always
-        #: constructed; permanently invalid under the other backends).
-        self._pruned_bounds = BlockBounds()
-        #: Actual distance evaluations per iteration under kernel="pruned"
-        #: (n*k on establishment sweeps; the pruning telemetry the bench
-        #: harness reads).
-        self.pruned_evals_per_iteration: List[int] = []
         self.model_costs = bool(model_costs)
         self.ledger = TimeLedger() if self.model_costs else NullLedger()
         plan = resolve_fault_plan(faults)
@@ -269,18 +242,19 @@ class LevelExecutor(ABC):
 
     # -- subclass interface ------------------------------------------------------
 
+    @property
+    def name(self) -> str:
+        return f"level {self.level} executor"
+
     @abstractmethod
     def setup(self, X: np.ndarray, C: np.ndarray) -> None:
         """Validate the plan against (X, C) and charge one-time load costs."""
 
-    @abstractmethod
-    def iterate(self, X: np.ndarray, C: np.ndarray
-                ) -> Tuple[np.ndarray, np.ndarray]:
-        """One Assign+Update under the plan; returns (assignments, new_C).
-
-        Implementations must charge every phase of the iteration to
-        ``self.ledger`` before returning.
-        """
+    def label(self, X: np.ndarray, C: np.ndarray) -> np.ndarray:
+        # Chunks no larger than the plan's blocks, on the tasks' kernel
+        # instance: the pass reuses the sweeps' scratch instead of growing.
+        rows = max(hi - lo for lo, hi in self.plan.sample_blocks)
+        return task_kernel(self.kernel)._assign(X, C, rows * C.shape[0])
 
     def charge_stream_phases(self, prefix: str,
                              dma_times: Sequence[float],
@@ -322,81 +296,7 @@ class LevelExecutor(ABC):
                                 empty_action=self.empty_action,
                                 X=X, best_d2=best_d2)
 
-    def _check_finite(self, new_C: np.ndarray, iteration: int) -> None:
-        """Per-iteration numerical guard.
-
-        A NaN/Inf in the fresh centroids (or in the fused pass's inertia)
-        means a partial was corrupted — e.g. host-side bit rot injected at
-        the engine seam — and every subsequent iteration would silently
-        converge to garbage.  Raise a transient
-        :class:`~repro.errors.NumericalFaultError` instead so the recovery
-        policy can re-run the iteration (``retry``) or roll back to the
-        last checkpoint (``replan``).
-        """
-        if not np.isfinite(new_C).all():
-            raise NumericalFaultError(
-                f"non-finite centroids after the iteration {iteration} "
-                f"Update step", iteration=iteration,
-            )
-        if self._iter_inertia is not None \
-                and not np.isfinite(self._iter_inertia):
-            raise NumericalFaultError(
-                f"non-finite inertia at iteration {iteration}",
-                iteration=iteration,
-            )
-
-    # -- pruned kernel plumbing ----------------------------------------------------
-
-    def _pruned_map_reduce(self, X: np.ndarray, C: np.ndarray,
-                           blocks: Sequence[Tuple[int, int]],
-                           topology: Optional[ReduceTopology] = None):
-        """Map/reduce one pruned iteration over the plan's sample blocks.
-
-        Same block boundaries and reduction topology as the unpruned
-        path — the task-id stream, and with it every chaos plan and
-        fault replay, is unchanged.  Returns ``(merged, partials)``; the
-        partials carry per-block labels, exact winning distances, fresh
-        lower bounds, and the actual distance-evaluation counts.
-        """
-        tasks = build_pruned_tasks(self.engine, self.kernel, X, C, blocks,
-                                   self._pruned_bounds)
-        return self.engine.map_reduce(
-            pruned_assign_block, tasks,
-            topology=self.reduce if topology is None else topology,
-            return_partials=True)
-
-    def _commit_pruned_state(self, C: np.ndarray, assignments: np.ndarray,
-                             best_d2: np.ndarray,
-                             partials: Sequence) -> None:
-        """Adopt one pruned iteration's outputs as the carried bound state.
-
-        Must be the *last* act of ``iterate()`` — after every fault-prone
-        charge — so an iteration that faults mid-flight never half-commits:
-        the retry re-runs against the previous iteration's (still sound)
-        state, and replans/rollbacks invalidate via
-        :meth:`_reset_state_after_replan`.
-        """
-        lb = np.empty(assignments.shape[0], dtype=np.float64)
-        scatter_bounds(partials, lb)
-        self._pruned_bounds.commit(C, assignments, best_d2, lb)
-        self.pruned_evals_per_iteration.append(
-            sum(int(p.n_dist) for p in partials))
-
     # -- fault handling ------------------------------------------------------------
-
-    def _reset_state_after_replan(self) -> None:
-        """Drop any executor state tied to the old partition plan.
-
-        The base class invalidates the pruned kernel's carried bound
-        state: a restored checkpoint (replan and rollback both restore
-        one) rewinds the centroids, so bounds anchored to the poisoned
-        trajectory would be unsound — the next iteration re-establishes
-        them from scratch.  Subclasses with additional persistent
-        acceleration state (e.g. the Hamerly bounds of Level3Bounded)
-        override this — and must call ``super()`` — to invalidate theirs
-        too.
-        """
-        self._pruned_bounds.invalidate()
 
     def _replan_after_failure(self, exc: FaultError,
                               X: np.ndarray) -> np.ndarray:
@@ -417,17 +317,17 @@ class LevelExecutor(ABC):
         checkpoint = self.checkpoints.restore()  # charges "recovery" I/O
         C = np.array(checkpoint.centroids, copy=True)
         self._plan = None  # force a fresh partition plan on the survivors
-        self._reset_state_after_replan()
         self.setup(X, C)
         return C
 
-    def _handle_fault(self, exc: FaultError, attempt: int, X: np.ndarray,
-                      C: np.ndarray) -> np.ndarray:
+    def recover(self, exc: FaultError, attempt: int, X: np.ndarray,
+                C: np.ndarray) -> Optional[np.ndarray]:
         """Apply the recovery policy to one caught fault.
 
-        Returns the centroids the iteration should re-run from (unchanged
-        for a retry, the restored checkpoint for a replan); re-raises the
-        fault when the policy gives up.
+        Returns None for a retry (re-run from the same centroids) and the
+        restored checkpoint's centroids for a replan or rollback, after
+        which the driver drops every piece of state keyed to the old
+        trajectory; re-raises the fault when the policy gives up.
         """
         action = self.recovery.decide(exc, attempt)
         event = getattr(exc, "event", None)
@@ -438,7 +338,7 @@ class LevelExecutor(ABC):
             if event is not None:
                 event.action = "retried"
                 event.recovery_seconds += action.delay
-            return C
+            return None
         if action.kind == "replan":
             t_before = self.ledger.total()
             C = self._replan_after_failure(exc, X)
@@ -448,12 +348,10 @@ class LevelExecutor(ABC):
             return C
         if action.kind == "rollback":
             # The machine is healthy; only the numbers went bad.  Restore
-            # the last checkpoint (charging the modelled read), drop any
-            # acceleration state keyed to the poisoned trajectory, and
-            # re-run from the snapshot.  No re-plan, no excised CGs.
+            # the last checkpoint (charging the modelled read) and re-run
+            # from the snapshot.  No re-plan, no excised CGs.
             checkpoint = self.checkpoints.restore()
             C = np.array(checkpoint.centroids, copy=True)
-            self._reset_state_after_replan()
             self.supervisor.record(
                 "rollback",
                 f"restored checkpoint from iteration "
@@ -466,154 +364,7 @@ class LevelExecutor(ABC):
             event.action = "fatal"
         raise exc
 
-    # -- driver --------------------------------------------------------------------
-
-    def _load_resume_state(self, C: np.ndarray) -> Tuple[np.ndarray, int]:
-        """Load the durable snapshot for a ``resume=True`` run.
-
-        Returns the centroids to start from and the iteration they were
-        taken at (0 when the directory holds no snapshot yet — a cold
-        start).  The snapshot must match the requested problem shape.
-        """
-        # A durable snapshot holds (iteration, centroids) only — any
-        # in-memory bound state predates the restore and must not leak
-        # into the resumed trajectory (invariant: bounds invalidation).
-        self._pruned_bounds.invalidate()
-        try:
-            snapshot = load_checkpoint(self.checkpoints.directory,
-                                       integrity=self.integrity)
-        except IntegrityError as exc:
-            # Under repair a rotted snapshot is survivable: fall back to a
-            # cold start from the passed centroids (the same thing an empty
-            # directory means).  verify and off surface the damage — a
-            # wrong-bytes resume would silently diverge.
-            if self.integrity != "repair":
-                raise
-            self.supervisor.record(
-                "integrity",
-                f"durable snapshot failed verification ({exc}); "
-                f"cold start",
-            )
-            return C, 0
-        if snapshot is None:
-            self.supervisor.record(
-                "resume",
-                f"no snapshot in {self.checkpoints.directory!r}; "
-                f"cold start",
-            )
-            return C, 0
-        if snapshot.centroids.shape != C.shape:
-            raise ConfigurationError(
-                f"checkpoint in {self.checkpoints.directory!r} holds "
-                f"centroids of shape {snapshot.centroids.shape}, but this "
-                f"run uses {C.shape}"
-            )
-        self.checkpoints.adopt(snapshot)
-        self.supervisor.record(
-            "resume",
-            f"resumed from {self.checkpoints.directory!r} at iteration "
-            f"{snapshot.iteration}",
-        )
-        restored = np.array(snapshot.centroids, copy=True).astype(
-            C.dtype, copy=False)
-        return restored, int(snapshot.iteration)
-
     def run(self, X: np.ndarray, centroids: np.ndarray, max_iter: int = 100,
             tol: float = 0.0) -> KMeansResult:
         """Run to convergence (or ``max_iter``) from ``centroids``."""
-        if max_iter < 1:
-            raise ConfigurationError(f"max_iter must be >= 1, got {max_iter}")
-        if tol < 0:
-            raise ConfigurationError(f"tol must be >= 0, got {tol}")
-        X, C = validate_data(X, np.array(centroids, copy=True))
-
-        start_iteration = 0
-        if self.resume:
-            C, start_iteration = self._load_resume_state(C)
-        self.setup(X, C)
-        if start_iteration > 0:
-            # Epoch numbering continues where the killed run left off, so
-            # the resumed trajectory's telemetry lines up bit-for-bit with
-            # the uninterrupted run's.
-            self.ledger.skip_to(start_iteration)
-        else:
-            self.checkpoints.save_initial(C)
-
-        self.supervisor.start()
-        history = []
-        assignments = np.full(X.shape[0], -1, dtype=np.int64)
-        converged = False
-        it = start_iteration
-        for _ in range(start_iteration, max_iter):
-            it = self.ledger.next_iteration()
-            self.supervisor.begin_iteration(it)
-            t_before = self.ledger.total()
-            attempt = 0
-            while True:
-                try:
-                    if self.injector is not None:
-                        self.injector.begin_iteration(it)
-                    self._iter_inertia = None
-                    new_assignments, new_C = self.iterate(X, C)
-                    self._check_finite(new_C, it)
-                    break
-                except FaultError as exc:
-                    attempt += 1
-                    # Partial charges from the failed attempt stay on the
-                    # ledger as wasted work, exactly as on the real machine.
-                    C = self._handle_fault(exc, attempt, X, C)
-                finally:
-                    self.supervisor.absorb(self.engine)
-            t_iter = self.ledger.total() - t_before
-
-            shift = max_centroid_shift(C, new_C)
-            history.append(IterationStats(
-                iteration=it,
-                # The fused Assign+Accumulate already produced the winning
-                # distances; only executors without them (the bounded
-                # executor, whose ub is a drifted bound, not a distance)
-                # pay a fresh X - C[assignments] pass here.
-                inertia=(self._iter_inertia if self._iter_inertia is not None
-                         else inertia(X, C, new_assignments)),
-                centroid_shift=shift,
-                n_reassigned=int((new_assignments != assignments).sum()),
-                modelled_seconds=t_iter,
-            ))
-            assignments = new_assignments
-            C = new_C
-            self.supervisor.end_iteration(it)
-            if shift <= tol:
-                converged = True
-                break
-            self.checkpoints.maybe_save(it, C)
-
-        if not converged and history:
-            warnings.warn(
-                f"level {self.level} executor did not converge in "
-                f"{max_iter} iterations (last centroid shift "
-                f"{history[-1].centroid_shift:.3g} > tol {tol:g}); "
-                f"consider raising max_iter",
-                ConvergenceWarning,
-                stacklevel=2,
-            )
-
-        if (assignments < 0).any():
-            # A resume at start_iteration >= max_iter runs zero iterations;
-            # label against the restored centroids so the result is usable.
-            assignments = self.kernel.assign(X, C)
-        self.supervisor.absorb(self.engine)
-        final_inertia = inertia(X, C, assignments)
-        return KMeansResult(
-            centroids=C,
-            assignments=assignments,
-            inertia=final_inertia,
-            n_iter=it,
-            converged=converged,
-            history=history,
-            # Pure-numerics runs report no ledger, like the serial baseline.
-            ledger=self.ledger if self.ledger.enabled else None,
-            level=self.level,
-            fault_events=list(self.injector.events)
-            if self.injector is not None else [],
-            host_events=list(self.supervisor.events),
-        )
+        return drive(self, X, centroids, max_iter=max_iter, tol=tol)

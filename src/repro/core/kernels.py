@@ -124,6 +124,14 @@ class KernelBackend(ABC):
                chunk_elements: int = DEFAULT_CHUNK_ELEMENTS) -> np.ndarray:
         """Nearest-centroid assignment for every sample (int64 indices)."""
         X, C = validate_data(X, C)
+        return self._assign(X, C, chunk_elements)
+
+    # The underscored entry points take operands the caller has already
+    # validated: the run driver validates X and C once per run, so the
+    # block tasks and the final relabelling skip the per-call checks.
+
+    def _assign(self, X: np.ndarray, C: np.ndarray,
+                chunk_elements: int) -> np.ndarray:
         n, k = X.shape[0], C.shape[0]
         rows = self.chunk_rows(n, k, X.shape[1], chunk_elements)
         ctx = self._prepare(C, min(rows, n))
@@ -169,6 +177,12 @@ class KernelBackend(ABC):
         engine-parity tests and fault replays rely on.
         """
         X, C = validate_data(X, C)
+        return self._assign_accumulate(X, C, chunk_elements)
+
+    def _assign_accumulate(self, X: np.ndarray, C: np.ndarray,
+                           chunk_elements: int
+                           ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                      np.ndarray]:
         idx, best = self._sweep(X, C, chunk_elements)
         sums, counts = accumulate(X, idx, C.shape[0])
         return idx, best, sums, counts
@@ -246,16 +260,16 @@ class GemmKernel(KernelBackend):
     def _prepare(self, C: np.ndarray, max_rows: int) -> object:
         c_sq = np.einsum("kd,kd->k", C, C)
         buf = self._buffer(max(1, max_rows), C.shape[0], C.dtype)
-        return c_sq, buf
+        # Scaling by -2 is exact and commutes with every rounding of the
+        # matmul, so x.(-2c) is bitwise -2(x.c) without a pass over g.
+        return c_sq, buf, -2.0 * C
 
     def _partial_block(self, block: np.ndarray, C: np.ndarray,
                        ctx: object) -> np.ndarray:
         """``|c|^2 - 2 x.c`` for one chunk, written into the scratch buffer."""
-        c_sq, buf = ctx
-        b = block.shape[0]
-        g = buf[:b]
-        np.matmul(block, C.T, out=g)
-        g *= -2.0
+        c_sq, buf, minus_2c = ctx
+        g = buf[:block.shape[0]]
+        np.matmul(block, minus_2c.T, out=g)
         g += c_sq[None, :]
         return g
 
@@ -281,7 +295,7 @@ class GemmKernel(KernelBackend):
         kernel reproduces the value for any subset of rows (skipped
         points, surviving candidates) bit-for-bit.
         """
-        c_sq, _ = ctx
+        c_sq = ctx[0]
         best = c_sq[local] - 2.0 * np.einsum("bd,bd->b", block, C[local])
         best += np.einsum("bd,bd->b", block, block)
         np.maximum(best, 0.0, out=best)

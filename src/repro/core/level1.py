@@ -22,9 +22,9 @@ from ..machine.machine import Machine
 from ..runtime.compute import distance_flops
 from ..runtime.dma import DMAEngine
 from ..runtime.mpi import SimComm
-from ..runtime.reduce import scatter_labels
 from ..runtime.regcomm import RegisterComm
-from .block_tasks import FusedAssignTask, fused_assign_block, kernel_token
+from .bounds import BlockBounds
+from .driver import Sweep, sweep_blocks
 from .executor_base import LevelExecutor
 from .partition import Level1Plan, plan_level1
 from .result import KMeansResult
@@ -84,16 +84,13 @@ class Level1Executor(LevelExecutor):
 
     # -- one iteration ------------------------------------------------------------
 
-    def iterate(self, X: np.ndarray, C: np.ndarray
-                ) -> Tuple[np.ndarray, np.ndarray]:
+    def iterate(self, X: np.ndarray, C: np.ndarray,
+                bounds: Optional[BlockBounds]) -> Tuple[Sweep, np.ndarray]:
         plan = self.plan
-        n, d = X.shape
+        d = X.shape[1]
         k = C.shape[0]
         item = self._itemsize
         assert self._comm is not None
-
-        assignments = np.empty(n, dtype=np.int64)
-        best_d2 = np.empty(n, dtype=X.dtype)
 
         # ---- Assign phase: fully parallel over active CPEs ----
         # The per-unit numerics (fused assign + accumulate) fan out over the
@@ -104,26 +101,12 @@ class Level1Executor(LevelExecutor):
         # topology whose schedule depends only on the unit layout, so the
         # result is engine-independent; labels scatter back in fixed unit
         # order.
-        pruned = self.kernel.name == "pruned"
         topology = self.reduce.for_groups(
             [self._units_by_cg[cg] for cg in sorted(self._units_by_cg)])
-        if pruned:
-            # Same block boundaries and topology; the tasks additionally
-            # carry the per-sample bound state (see executor_base).
-            merged, partials = self._pruned_map_reduce(
-                X, C, plan.sample_blocks, topology)
-        else:
-            x_ref = self.engine.share("X", X)
-            c_ref = self.engine.share("C", C)
-            token = kernel_token(self.kernel)
-            tasks = [FusedAssignTask(x_ref, c_ref, lo, hi, token)
-                     for lo, hi in plan.sample_blocks]
-            merged, partials = self.engine.map_reduce(
-                fused_assign_block, tasks, topology=topology,
-                return_partials=True)
-        global_sums, global_counts = merged.sums, merged.counts
-        scatter_labels(partials, assignments, best_d2)
-        self._iter_inertia = float(best_d2.sum() / n)
+        sweep = sweep_blocks(self.engine, self.kernel, X, C,
+                             plan.sample_blocks, topology, bounds)
+        pruned = bounds is not None
+        partials = sweep.partials
 
         # ---- cost model (fixed CG/unit order, independent of the engine) ----
         if self.model_costs:
@@ -172,25 +155,21 @@ class Level1Executor(LevelExecutor):
             self.ledger.charge(
                 "network", "l1.update.inter_cg_allreduce.sums",
                 self._comm.allreduce_time(
-                    global_sums.nbytes,
+                    sweep.sums.nbytes,
                     label="l1.update.inter_cg_allreduce.sums"))
             self.ledger.charge(
                 "network", "l1.update.inter_cg_allreduce.counts",
                 self._comm.allreduce_time(
-                    global_counts.nbytes,
+                    sweep.counts.nbytes,
                     label="l1.update.inter_cg_allreduce.counts"))
 
         # ---- Divide (line 15) — every CPE updates its local copy ----
         if self.model_costs:
             self.ledger.charge("compute", "l1.update.divide",
                                self.compute.time_for_flops(k * d, n_cpes=1))
-        new_C = self.update_step(global_sums, global_counts, C,
-                                 X=X, best_d2=best_d2)
-        if pruned:
-            # Last act of the iteration — after every fault-prone charge —
-            # so a faulted iteration never half-commits bound state.
-            self._commit_pruned_state(C, assignments, best_d2, partials)
-        return assignments, new_C
+        new_C = self.update_step(sweep.sums, sweep.counts, C,
+                                 X=X, best_d2=sweep.best_d2)
+        return sweep, new_C
 
 
 def run_level1(X: np.ndarray, centroids: np.ndarray, machine: Machine,

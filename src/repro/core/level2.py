@@ -24,16 +24,10 @@ from ..machine.machine import Machine
 from ..runtime.compute import distance_flops
 from ..runtime.dma import DMAEngine
 from ..runtime.mpi import SimComm
-from ..runtime.reduce import scatter_labels
 from ..runtime.regcomm import RegisterComm
-from .block_tasks import (
-    FusedAssignTask,
-    StrictL2Task,
-    fused_assign_block,
-    kernel_token,
-    strict_l2_assign,
-    strict_l2_block,
-)
+from .block_tasks import StrictL2Task, strict_l2_assign, strict_l2_block
+from .bounds import BlockBounds
+from .driver import Sweep, map_blocks, sweep_blocks
 from .executor_base import LevelExecutor
 from .partition import Level2Plan, plan_level2
 from .result import KMeansResult
@@ -118,17 +112,14 @@ class Level2Executor(LevelExecutor):
         """
         return strict_l2_assign(block, C, self.plan.centroid_slices)
 
-    def iterate(self, X: np.ndarray, C: np.ndarray
-                ) -> Tuple[np.ndarray, np.ndarray]:
+    def iterate(self, X: np.ndarray, C: np.ndarray,
+                bounds: Optional[BlockBounds]) -> Tuple[Sweep, np.ndarray]:
         plan = self.plan
-        n, d = X.shape
+        d = X.shape[1]
         k = C.shape[0]
         item = self._itemsize
         assert self._comm is not None
         widest_slice = max(hi - lo for lo, hi in plan.centroid_slices)
-
-        assignments = np.empty(n, dtype=np.int64)
-        best_d2 = np.empty(n, dtype=X.dtype)
 
         # ---- Assign phase: numerics fan out over the execution engine ----
         # Module-level block tasks (picklable for the process engine;
@@ -141,31 +132,21 @@ class Level2Executor(LevelExecutor):
         # per-group partials also feed the accumulate cost model below.
         topology = self.reduce.for_groups(
             [self._groups_by_cg[cg] for cg in sorted(self._groups_by_cg)])
-        pruned = not self.strict_cpe and self.kernel.name == "pruned"
-        if pruned:
-            # Same block boundaries and topology; the tasks additionally
-            # carry the per-sample bound state (see executor_base).
-            merged, partials = self._pruned_map_reduce(
-                X, C, plan.sample_blocks, topology)
-        else:
+        if self.strict_cpe:
+            # The strict-CPE dataflow keeps its own task (the kernel is
+            # pinned to naive, so there are never bounds to carry).
             x_ref = self.engine.share("X", X)
             c_ref = self.engine.share("C", C)
-            if self.strict_cpe:
-                tasks: List[object] = [
-                    StrictL2Task(x_ref, c_ref, lo, hi, k,
-                                 plan.centroid_slices)
-                    for lo, hi in plan.sample_blocks]
-                block_fn = strict_l2_block
-            else:
-                token = kernel_token(self.kernel)
-                tasks = [FusedAssignTask(x_ref, c_ref, lo, hi, token)
-                         for lo, hi in plan.sample_blocks]
-                block_fn = fused_assign_block
-            merged, partials = self.engine.map_reduce(
-                block_fn, tasks, topology=topology, return_partials=True)
-        global_sums, global_counts = merged.sums, merged.counts
-        scatter_labels(partials, assignments, best_d2)
-        self._iter_inertia = float(best_d2.sum() / n)
+            tasks = [StrictL2Task(x_ref, c_ref, lo, hi, k,
+                                  plan.centroid_slices)
+                     for lo, hi in plan.sample_blocks]
+            sweep = map_blocks(self.engine, strict_l2_block, tasks,
+                               topology, X)
+        else:
+            sweep = sweep_blocks(self.engine, self.kernel, X, C,
+                                 plan.sample_blocks, topology, bounds)
+        pruned = bounds is not None
+        partials = sweep.partials
 
         # ---- cost model (fixed CG/group order, independent of the engine) ----
         if self.model_costs:
@@ -230,12 +211,12 @@ class Level2Executor(LevelExecutor):
             self.ledger.charge(
                 "network", "l2.update.inter_cg_allreduce.sums",
                 self._comm.allreduce_time(
-                    global_sums.nbytes,
+                    sweep.sums.nbytes,
                     label="l2.update.inter_cg_allreduce.sums"))
             self.ledger.charge(
                 "network", "l2.update.inter_cg_allreduce.counts",
                 self._comm.allreduce_time(
-                    global_counts.nbytes,
+                    sweep.counts.nbytes,
                     label="l2.update.inter_cg_allreduce.counts"))
 
         # Divide: each member CPE finishes its own slice.
@@ -243,13 +224,9 @@ class Level2Executor(LevelExecutor):
             self.ledger.charge("compute", "l2.update.divide",
                                self.compute.time_for_flops(widest_slice * d,
                                                            n_cpes=1))
-        new_C = self.update_step(global_sums, global_counts, C,
-                                 X=X, best_d2=best_d2)
-        if pruned:
-            # Last act of the iteration — after every fault-prone charge —
-            # so a faulted iteration never half-commits bound state.
-            self._commit_pruned_state(C, assignments, best_d2, partials)
-        return assignments, new_C
+        new_C = self.update_step(sweep.sums, sweep.counts, C,
+                                 X=X, best_d2=sweep.best_d2)
+        return sweep, new_C
 
 
 def run_level2(X: np.ndarray, centroids: np.ndarray, machine: Machine,

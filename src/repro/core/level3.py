@@ -31,16 +31,10 @@ from ..machine.machine import Machine
 from ..runtime.compute import distance_flops
 from ..runtime.dma import DMAEngine
 from ..runtime.mpi import SimComm
-from ..runtime.reduce import scatter_labels
 from ..runtime.regcomm import RegisterComm
-from .block_tasks import (
-    FusedAssignTask,
-    StrictL3Task,
-    fused_assign_block,
-    kernel_token,
-    strict_l3_assign,
-    strict_l3_block,
-)
+from .block_tasks import StrictL3Task, strict_l3_assign, strict_l3_block
+from .bounds import BlockBounds
+from .driver import Sweep, map_blocks, sweep_blocks
 from .executor_base import LevelExecutor
 from .partition import Level3Plan, plan_level3
 from .result import KMeansResult
@@ -140,52 +134,37 @@ class Level3Executor(LevelExecutor):
 
     # -- one iteration ------------------------------------------------------------
 
-    def iterate(self, X: np.ndarray, C: np.ndarray
-                ) -> Tuple[np.ndarray, np.ndarray]:
+    def iterate(self, X: np.ndarray, C: np.ndarray,
+                bounds: Optional[BlockBounds]) -> Tuple[Sweep, np.ndarray]:
         plan = self.plan
-        n, d = X.shape
+        d = X.shape[1]
         k = C.shape[0]
         item = self._itemsize
         widest_k = max(hi - lo for lo, hi in plan.centroid_slices)
         widest_d = max(hi - lo for lo, hi in plan.dim_slices)
 
-        assignments = np.empty(n, dtype=np.int64)
-        best_d2 = np.empty(n, dtype=X.dtype)
-
         # ---- Assign phase (CG groups fully parallel) ----
         # Module-level block tasks (picklable for the process engine;
         # operands travel by share()) return compact partials that merge
-        # in fixed group order below, so the result is engine-independent;
-        # labels scatter back in fixed group order.
-        pruned = not self.strict_cpe and self.kernel.name == "pruned"
-        if pruned:
-            # Same block boundaries and topology; the tasks additionally
-            # carry the per-sample bound state (see executor_base).
-            merged, partials = self._pruned_map_reduce(
-                X, C, plan.sample_blocks)
-        else:
+        # under the executor's reduction topology (schedule a pure function
+        # of the group count, so engine-independent); labels scatter back
+        # in fixed group order, and the per-group partials also feed the
+        # accumulate cost model below.
+        if self.strict_cpe:
+            # The strict-CPE dataflow keeps its own task (the kernel is
+            # pinned to naive, so there are never bounds to carry).
             x_ref = self.engine.share("X", X)
             c_ref = self.engine.share("C", C)
-            if self.strict_cpe:
-                tasks: List[object] = [
-                    StrictL3Task(x_ref, c_ref, lo, hi, k,
-                                 plan.centroid_slices, plan.dim_slices)
-                    for lo, hi in plan.sample_blocks]
-                block_fn = strict_l3_block
-            else:
-                token = kernel_token(self.kernel)
-                tasks = [FusedAssignTask(x_ref, c_ref, lo, hi, token)
-                         for lo, hi in plan.sample_blocks]
-                block_fn = fused_assign_block
-            # The merge runs under the executor's reduction topology
-            # (schedule a pure function of the group count, so
-            # engine-independent); the per-group partials also feed the
-            # accumulate cost model below.
-            merged, partials = self.engine.map_reduce(
-                block_fn, tasks, topology=self.reduce, return_partials=True)
-        global_sums, global_counts = merged.sums, merged.counts
-        scatter_labels(partials, assignments, best_d2)
-        self._iter_inertia = float(best_d2.sum() / n)
+            tasks = [StrictL3Task(x_ref, c_ref, lo, hi, k,
+                                  plan.centroid_slices, plan.dim_slices)
+                     for lo, hi in plan.sample_blocks]
+            sweep = map_blocks(self.engine, strict_l3_block, tasks,
+                               self.reduce, X)
+        else:
+            sweep = sweep_blocks(self.engine, self.kernel, X, C,
+                                 plan.sample_blocks, self.reduce, bounds)
+        pruned = bounds is not None
+        partials = sweep.partials
 
         # ---- cost model (fixed group order, independent of the engine) ----
         if self.model_costs:
@@ -266,13 +245,9 @@ class Level3Executor(LevelExecutor):
             self.ledger.charge("compute", "l3.update.divide",
                                self.compute.time_for_flops(
                                    widest_k * widest_d, n_cpes=1))
-        new_C = self.update_step(global_sums, global_counts, C,
-                                 X=X, best_d2=best_d2)
-        if pruned:
-            # Last act of the iteration — after every fault-prone charge —
-            # so a faulted iteration never half-commits bound state.
-            self._commit_pruned_state(C, assignments, best_d2, partials)
-        return assignments, new_C
+        new_C = self.update_step(sweep.sums, sweep.counts, C,
+                                 X=X, best_d2=sweep.best_d2)
+        return sweep, new_C
 
 
 def run_level3(X: np.ndarray, centroids: np.ndarray, machine: Machine,

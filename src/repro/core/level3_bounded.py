@@ -32,7 +32,13 @@ import numpy as np
 from ..machine.machine import Machine
 from ..runtime.compute import distance_flops
 from .block_tasks import AccumulateTask, accumulate_block
-from .bounds import apply_hamerly_drift, centroid_drift, centroid_separation
+from .bounds import (
+    BlockBounds,
+    apply_hamerly_drift,
+    centroid_drift,
+    centroid_separation,
+)
+from .driver import Sweep
 from .level3 import Level3Executor
 from .result import KMeansResult
 
@@ -55,8 +61,7 @@ class Level3BoundedExecutor(Level3Executor):
         # The restored checkpoint invalidates the persistent Hamerly state:
         # bounds drifted against centroids that no longer exist would be
         # unsound, so the next iterate re-establishes them exactly.  The
-        # base class invalidates the pruned kernel's bound state the same
-        # way.
+        # driver invalidates the pruned kernel's bound state the same way.
         super()._reset_state_after_replan()
         self._ub = None
         self._lb = None
@@ -106,8 +111,8 @@ class Level3BoundedExecutor(Level3Executor):
 
     # -- one iteration ------------------------------------------------------------
 
-    def iterate(self, X: np.ndarray, C: np.ndarray
-                ) -> Tuple[np.ndarray, np.ndarray]:
+    def iterate(self, X: np.ndarray, C: np.ndarray,
+                bounds: Optional[BlockBounds]) -> Tuple[Sweep, np.ndarray]:
         plan = self.plan
         n, d = X.shape
         k = C.shape[0]
@@ -214,7 +219,9 @@ class Level3BoundedExecutor(Level3Executor):
         # on the (rare) empty-cluster iteration.
         new_C = self.update_step(global_sums, global_counts, C, X=X)
         self._prev_C = C.copy()
-        return assignments, new_C
+        # No best_d2 and no lb: the driver pays an explicit inertia pass
+        # and leaves the pruned kernel's bounds (unused here) uncommitted.
+        return Sweep(global_sums, global_counts, partials, assignments), new_C
 
 
 def run_level3_bounded(X: np.ndarray, centroids: np.ndarray,

@@ -12,109 +12,72 @@ configuration; the integration tests enforce it.
 
 from __future__ import annotations
 
-import warnings
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ..errors import (
-    ConfigurationError,
-    ConvergenceWarning,
-    IntegrityError,
-    NumericalFaultError,
-)
-from ..runtime.engine import EngineLike, resolve_engine
+from ..errors import ConfigurationError
+from ..runtime.engine import EngineLike, ExecutionEngine, resolve_engine
 from ..runtime.ledger import NullLedger
-from ..runtime.reduce import (
-    ReduceLike,
-    ReduceTopology,
-    resolve_reduce,
-    scatter_bounds,
-    scatter_labels,
+from ..runtime.reduce import ReduceLike, ReduceTopology, resolve_reduce
+from ..runtime.supervisor import (
+    RunSupervisor,
+    SupervisorLike,
+    resolve_supervisor,
 )
-from ..runtime.supervisor import SupervisorLike, resolve_supervisor
 from ._common import (
     DEFAULT_CHUNK_ELEMENTS,
     chunk_ranges,
-    inertia,
-    max_centroid_shift,
     update_centroids,
     validate_data,
 )
-from .block_tasks import (
-    FusedAssignTask,
-    build_pruned_tasks,
-    fused_assign_block,
-    kernel_token,
-    pruned_assign_block,
-)
+from .block_tasks import task_kernel
 from .bounds import BlockBounds
-from .checkpoint import CheckpointConfig, CheckpointStore, load_checkpoint
-from .kernels import KernelBackend, KernelLike, PrunedKernel, resolve_kernel
-from .result import IterationStats, KMeansResult
+from .checkpoint import CheckpointConfig, CheckpointStore
+from .driver import DriverStep, Sweep, drive, sweep_blocks
+from .kernels import KernelBackend, KernelLike, resolve_kernel
+from .result import KMeansResult
 
 
-def _fused_step(X: np.ndarray, C: np.ndarray, backend: KernelBackend,
-                chunk_elements: int, engine,
-                topology: Optional[ReduceTopology] = None
-                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One fused Assign+Accumulate pass, sharded over the execution engine.
+class _LloydStep(DriverStep):
+    """Serial Lloyd as a driver step: no partition plan, no time ledger.
 
-    Shard boundaries come from the backend's own chunk policy (so they are
-    a function of the problem shape only, never of the engine or worker
-    count), each shard runs the fused kernel, and the per-shard partial
-    accumulators merge under the reduction topology — whose schedule is a
-    pure function of the shard count — making the result bit-identical
-    across engines and worker counts for a given topology.
+    Blocks come from the backend's own chunk policy, so they are a
+    function of the problem shape only, never of the engine or worker
+    count; with a fixed reduction topology the sweep is bit-identical
+    across engines and worker counts.
     """
-    n, k = X.shape[0], C.shape[0]
-    rows = backend.chunk_rows(n, k, X.shape[1], chunk_elements)
-    assignments = np.empty(n, dtype=np.int64)
-    best_d2 = np.empty(n, dtype=X.dtype)
 
-    # Publish the operands once per call (identity makes the X re-publish
-    # free across iterations); under the in-process engines share() is the
-    # array itself and the tasks see it by reference.
-    x_ref = engine.share("X", X)
-    c_ref = engine.share("C", C)
-    token = kernel_token(backend)
-    tasks = [FusedAssignTask(x_ref, c_ref, lo, hi, token, chunk_elements)
-             for lo, hi in chunk_ranges(n, rows)]
-    merged, partials = engine.map_reduce(fused_assign_block, tasks,
-                                         topology=topology,
-                                         return_partials=True)
-    scatter_labels(partials, assignments, best_d2)
-    return assignments, best_d2, merged.sums, merged.counts
+    def __init__(self, kernel: KernelBackend, engine: ExecutionEngine,
+                 topology: ReduceTopology, supervisor: RunSupervisor,
+                 checkpoints: CheckpointStore, chunk_elements: int,
+                 empty_action: str, resume: bool) -> None:
+        super().__init__()
+        self.kernel = kernel
+        self.engine = engine
+        self.topology = topology
+        self.supervisor = supervisor
+        self.checkpoints = checkpoints
+        # The store's NullLedger still numbers the iterations.
+        self.ledger = checkpoints.ledger
+        self.chunk_elements = chunk_elements
+        self.empty_action = empty_action
+        self.resume = resume
 
+    def iterate(self, X: np.ndarray, C: np.ndarray,
+                bounds: Optional[BlockBounds]) -> Tuple[Sweep, np.ndarray]:
+        n, k, d = X.shape[0], C.shape[0], X.shape[1]
+        rows = self.kernel.chunk_rows(n, k, d, self.chunk_elements)
+        sweep = sweep_blocks(self.engine, self.kernel, X, C,
+                             list(chunk_ranges(n, rows)), self.topology,
+                             bounds, self.chunk_elements)
+        new_C = update_centroids(sweep.sums, sweep.counts, C,
+                                 empty_action=self.empty_action,
+                                 X=X, best_d2=sweep.best_d2)
+        return sweep, new_C
 
-def _pruned_step(X: np.ndarray, C: np.ndarray, backend: PrunedKernel,
-                 chunk_elements: int, engine,
-                 topology: Optional[ReduceTopology],
-                 bounds: BlockBounds
-                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One bounds-carrying Assign+Accumulate pass (``kernel="pruned"``).
-
-    Shard boundaries, reduction topology, and scatter order are identical
-    to :func:`_fused_step`, so the outputs are bit-identical to the gemm
-    sweep; only the work per shard shrinks as the bounds tighten.  The
-    fresh per-sample state is committed before returning — level 0 has no
-    fault loop, so there is no half-commit hazard here.
-    """
-    n, k = X.shape[0], C.shape[0]
-    rows = backend.chunk_rows(n, k, X.shape[1], chunk_elements)
-    assignments = np.empty(n, dtype=np.int64)
-    best_d2 = np.empty(n, dtype=X.dtype)
-    lb = np.empty(n, dtype=np.float64)
-    tasks = build_pruned_tasks(engine, backend, X, C,
-                               list(chunk_ranges(n, rows)), bounds,
-                               chunk_elements=chunk_elements)
-    merged, partials = engine.map_reduce(pruned_assign_block, tasks,
-                                         topology=topology,
-                                         return_partials=True)
-    scatter_labels(partials, assignments, best_d2)
-    scatter_bounds(partials, lb)
-    bounds.commit(C, assignments, best_d2, lb)
-    return assignments, best_d2, merged.sums, merged.counts
+    def label(self, X: np.ndarray, C: np.ndarray) -> np.ndarray:
+        return task_kernel(self.kernel)._assign(X, C, self.chunk_elements)
 
 
 def lloyd(X: np.ndarray, centroids: np.ndarray, max_iter: int = 100,
@@ -151,12 +114,16 @@ def lloyd(X: np.ndarray, centroids: np.ndarray, max_iter: int = 100,
         across iterations (invalidated on resume) and is bit-identical
         to "gemm".
     engine:
-        Host execution engine ("serial" or "thread"; see
-        :mod:`repro.runtime.engine`).  Shards the fused Assign+Accumulate
-        pass over a thread pool without changing the numbers.
+        Host execution engine (``"serial"``, ``"thread"``, ``"process"``,
+        or an :class:`~repro.runtime.engine.ExecutionEngine` instance),
+        resolved by :func:`~repro.runtime.engine.resolve_engine`; None
+        consults ``REPRO_ENGINE``.  Shards the fused Assign+Accumulate
+        pass over the engine's workers without changing the numbers.
     workers:
-        Thread count for the thread engine (implies ``engine="thread"``
-        when > 1 and ``engine`` is unset).
+        Worker count of the thread or process engine, resolved by
+        :func:`~repro.runtime.engine.resolve_engine` (``workers > 1``
+        alone implies ``engine="thread"``; None consults
+        ``REPRO_WORKERS``).
     reduce:
         Reduction topology merging the per-shard partials (``"serial"``,
         ``"tree"``, or a :class:`~repro.runtime.reduce.ReduceTopology`
@@ -204,10 +171,6 @@ def lloyd(X: np.ndarray, centroids: np.ndarray, max_iter: int = 100,
     -------
     KMeansResult with level = 0 and no time ledger.
     """
-    if max_iter < 1:
-        raise ConfigurationError(f"max_iter must be >= 1, got {max_iter}")
-    if tol < 0:
-        raise ConfigurationError(f"tol must be >= 0, got {tol}")
     if resume and checkpoint_dir is None:
         raise ConfigurationError(
             "resume=True needs checkpoint_dir= (there is no on-disk "
@@ -226,136 +189,9 @@ def lloyd(X: np.ndarray, centroids: np.ndarray, max_iter: int = 100,
                                   chaos=exec_engine.chaos,
                                   integrity=exec_engine.integrity,
                                   record=run_supervisor.record)
-    X, C = validate_data(X, np.array(centroids, copy=True))
-    n = X.shape[0]
-
-    start_iteration = 0
-    if resume:
-        try:
-            snapshot = load_checkpoint(checkpoint_dir,
-                                       integrity=exec_engine.integrity)
-        except IntegrityError as exc:
-            # repair treats a rotted snapshot like a missing one: cold
-            # start from the passed centroids.  verify/off surface it.
-            if exec_engine.integrity != "repair":
-                raise
-            snapshot = None
-            run_supervisor.record(
-                "integrity",
-                f"durable snapshot failed verification ({exc}); "
-                f"cold start",
-            )
-        if snapshot is None:
-            run_supervisor.record(
-                "resume", f"no snapshot in {checkpoint_dir!r}; cold start")
-        elif snapshot.centroids.shape != C.shape:
-            raise ConfigurationError(
-                f"checkpoint in {checkpoint_dir!r} holds centroids of "
-                f"shape {snapshot.centroids.shape}, but this run uses "
-                f"{C.shape}"
-            )
-        else:
-            C = np.array(snapshot.centroids, copy=True).astype(
-                X.dtype, copy=False)
-            start_iteration = int(snapshot.iteration)
-            checkpoints.adopt(snapshot)
-            run_supervisor.record(
-                "resume",
-                f"resumed from {checkpoint_dir!r} at iteration "
-                f"{start_iteration}",
-            )
-    if start_iteration == 0:
-        checkpoints.save_initial(C)
-    # Pruned bound state is created *after* any resume restore: the carrier
-    # starts invalid, so the first (possibly resumed) iteration establishes
-    # the bounds from scratch — nothing stale survives a restart (D107).
-    pruned_bounds = (BlockBounds() if isinstance(backend, PrunedKernel)
-                     else None)
-
-    run_supervisor.start()
-    history: List[IterationStats] = []
-    assignments = np.full(n, -1, dtype=np.int64)
-    converged = False
-    it = start_iteration
-    shift = np.inf
-    for it in range(start_iteration + 1, max_iter + 1):
-        run_supervisor.begin_iteration(it)
-        if isinstance(backend, PrunedKernel) and pruned_bounds is not None:
-            new_assignments, best_d2, sums, counts = _pruned_step(
-                X, C, backend, chunk_elements, exec_engine, topology,
-                pruned_bounds)
-        else:
-            new_assignments, best_d2, sums, counts = _fused_step(
-                X, C, backend, chunk_elements, exec_engine, topology)
-        new_C = update_centroids(sums, counts, C,
-                                 empty_action=empty_action,
-                                 X=X, best_d2=best_d2)
-        run_supervisor.absorb(exec_engine)
-        # Numerical guard: level 0 has no recovery loop, so a poisoned
-        # partial (e.g. host-side corruption at the engine seam) fails
-        # loudly here instead of converging to garbage.
-        if not np.isfinite(new_C).all():
-            raise NumericalFaultError(
-                f"non-finite centroids after the iteration {it} Update "
-                f"step", iteration=it,
-            )
-
-        shift = max_centroid_shift(C, new_C)
-        n_reassigned = int((new_assignments != assignments).sum())
-        history.append(IterationStats(
-            iteration=it,
-            # Mean winning squared distance under the incoming C — the same
-            # objective the einsum re-pass computed, without the extra
-            # O(n d) sweep.
-            inertia=float(best_d2.sum() / n),
-            centroid_shift=shift,
-            n_reassigned=n_reassigned,
-        ))
-        assignments = new_assignments
-        C = new_C
-        run_supervisor.end_iteration(it)
-        if shift <= tol:
-            converged = True
-            break
-        checkpoints.maybe_save(it, C)
-
-    if not converged and history:
-        warnings.warn(
-            f"lloyd did not converge in {max_iter} iterations (last "
-            f"centroid shift {history[-1].centroid_shift:.3g} > tol "
-            f"{tol:g}); consider raising max_iter",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
-
-    # Final objective under the final C.  At an exact fixed point
-    # (shift == 0) the held assignments *are* the nearest-centroid labels
-    # for the final C, so the O(n d) einsum suffices with no extra Assign
-    # pass.  A tol > 0 stop (or max_iter exhaustion) halts one Update past
-    # the last Assign, so the held labels may be stale against the final C
-    # — recompute them for the objective only, keeping result.inertia the
-    # true O(C) as before.  result.assignments stays the last-Assign labels
-    # in every case.
-    if (assignments < 0).any():
-        # A resume at start_iteration >= max_iter runs zero iterations;
-        # label against the restored centroids so the result is usable.
-        assignments = backend.assign(X, C, chunk_elements)
-    if converged and shift == 0.0:
-        final_inertia = inertia(X, C, assignments)
-    else:
-        final_inertia = inertia(X, C, backend.assign(X, C, chunk_elements))
-
-    return KMeansResult(
-        centroids=C,
-        assignments=assignments,
-        inertia=final_inertia,
-        n_iter=it,
-        converged=converged,
-        history=history,
-        ledger=None,
-        level=0,
-        host_events=list(run_supervisor.events),
-    )
+    step = _LloydStep(backend, exec_engine, topology, run_supervisor,
+                      checkpoints, chunk_elements, empty_action, resume)
+    return drive(step, X, centroids, max_iter=max_iter, tol=tol)
 
 
 def lloyd_single_iteration(X: np.ndarray, centroids: np.ndarray,

@@ -995,8 +995,7 @@ def resolve_engine(engine: EngineLike = None,
         return ThreadEngine(workers, chaos=chaos, integrity=mode)
     if engine == "process":
         # Late imports: process_engine imports this module at load time.
-        from .host import _fork_available
-        from .process_engine import ProcessEngine
+        from .process_engine import ProcessEngine, _fork_available
         if not _fork_available():
             fallback = SerialEngine(chaos=chaos, integrity=mode)
             fallback._record(

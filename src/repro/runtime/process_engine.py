@@ -100,12 +100,21 @@ from ..analysis.envvars import ENV_HEARTBEAT, read_float
 from ..errors import ConfigurationError, FaultError
 from .chaos import ChaosInjector, ChaosPlan
 from .engine import ExecutionEngine, TaskPolicy, _SharedEntry
-from .host import _fork_available
 from .integrity import crc32_array, seal_partial
 from .shm import ArrayRef, SharedArena, make_heartbeats
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
+
+
+def _fork_available() -> bool:
+    """Whether this platform offers the fork start method the pool needs."""
+    try:
+        return "fork" in mp.get_all_start_methods()
+    # reprolint: disable=E403 -- platform probe; no FaultError can originate here
+    except Exception:  # pragma: no cover - platform-specific
+        return False
+
 
 #: Real seconds between heartbeat writes in every worker.  Fixed processwide
 #: (not per engine) so the shared pool serves engines with different

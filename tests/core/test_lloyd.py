@@ -7,9 +7,24 @@ import pytest
 
 from repro.core._common import assign_chunked, inertia
 from repro.core.init import init_centroids
+from repro.core.level1 import run_level1
+from repro.core.level2 import run_level2
+from repro.core.level3 import run_level3
 from repro.core.lloyd import lloyd, lloyd_single_iteration
 from repro.data.synthetic import gaussian_blobs
 from repro.errors import ConfigurationError, ConvergenceWarning
+from repro.machine.machine import toy_machine
+
+_MACHINE = toy_machine(n_nodes=2, cgs_per_node=2, mesh=2,
+                       ldm_bytes=64 * 1024)
+
+#: Serial Lloyd (level 0) and the partition levels, keyed by level.
+_RUNNERS = {
+    0: lloyd,
+    1: lambda X, C0, **kw: run_level1(X, C0, _MACHINE, **kw),
+    2: lambda X, C0, **kw: run_level2(X, C0, _MACHINE, **kw),
+    3: lambda X, C0, **kw: run_level3(X, C0, _MACHINE, **kw),
+}
 
 
 @pytest.fixture
@@ -69,25 +84,32 @@ class TestConvergence:
         loose = lloyd(X, C0, tol=1.0)
         assert loose.n_iter <= tight.n_iter
 
-    def test_final_inertia_is_true_objective_with_tol(self, blobs):
+    def test_final_inertia_is_true_objective_with_tol(self) -> None:
         # A tol > 0 stop halts one Update past the last Assign, so the held
         # labels can be stale against the final centroids; result.inertia
         # must still be the true objective O(C) under nearest-centroid
-        # labels, exactly as the pre-fused implementation computed it.
-        X, _ = blobs
+        # labels, exactly as the pre-fused implementation computed it —
+        # on serial Lloyd and on every partition level alike.  Overlapping
+        # blobs, so the stop really does leave stale labels.
+        X, _ = gaussian_blobs(n=500, k=5, d=6, spread=0.2, seed=7)
         C0 = init_centroids(X, 5, method="first")
-        result = lloyd(X, C0, tol=0.5, max_iter=50)
-        fresh = assign_chunked(X, result.centroids)
-        assert result.inertia == inertia(X, result.centroids, fresh)
+        for level, run in sorted(_RUNNERS.items()):
+            result = run(X, C0, tol=0.5, max_iter=50)
+            fresh = assign_chunked(X, result.centroids)
+            assert (fresh != result.assignments).any(), f"level {level}"
+            assert result.inertia == inertia(X, result.centroids, fresh), \
+                f"level {level}"
 
     def test_final_inertia_is_true_objective_when_not_converged(self, blobs):
         X, _ = blobs
         C0 = init_centroids(X, 5, method="first")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ConvergenceWarning)
-            result = lloyd(X, C0, max_iter=1)
-        fresh = assign_chunked(X, result.centroids)
-        assert result.inertia == inertia(X, result.centroids, fresh)
+        for level, run in sorted(_RUNNERS.items()):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", ConvergenceWarning)
+                result = run(X, C0, max_iter=1)
+            fresh = assign_chunked(X, result.centroids)
+            assert result.inertia == inertia(X, result.centroids, fresh), \
+                f"level {level}"
 
 
 class TestCorrectness:

@@ -229,7 +229,7 @@ class TestResolveProcess:
         assert isinstance(resolve_engine(), ProcessEngine)
 
     def test_no_fork_degrades_to_serial_with_event(self, monkeypatch):
-        monkeypatch.setattr("repro.runtime.host._fork_available",
+        monkeypatch.setattr("repro.runtime.process_engine._fork_available",
                             lambda: False)
         engine = resolve_engine("process", workers=2)
         assert isinstance(engine, SerialEngine)
@@ -237,7 +237,7 @@ class TestResolveProcess:
 
     def test_env_process_without_fork_never_crashes(self, monkeypatch):
         monkeypatch.setenv(ENGINE_ENV, "process")
-        monkeypatch.setattr("repro.runtime.host._fork_available",
+        monkeypatch.setattr("repro.runtime.process_engine._fork_available",
                             lambda: False)
         engine = resolve_engine()
         assert isinstance(engine, SerialEngine)
